@@ -10,17 +10,21 @@
 //  * deepCopy      -- direct graph copy into the receiver's isolate, the
 //                     Incommunicado model (no byte encoding, but allocation
 //                     and copying per call, plus thread synchronization);
-//  * serialize /   -- verbose stream encoding with per-field tags and a
+//  * serialize /   -- a binary stream with a per-stream class table and a
 //    deserialize     checksum, the RMI model (everything deepCopy does plus
-//                     encode/decode and transport).
+//                     encode/decode and transport). The decoder checks
+//                     every value against the receiver's declared types and
+//                     fails closed (docs/comm.md, "Wire format").
 //
 // Supported graphs: null, strings, primitive arrays, reference arrays and
 // Plain objects (fields by declared order). Shared nodes and cycles are
 // preserved via back-references. Native-backed objects are not supported
-// (they would not survive a real process boundary either).
+// (they would not survive a real process boundary either). Every walk uses
+// an explicit stack, so graph depth is not limited by the host stack.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "runtime/vm.h"
 
@@ -58,12 +62,19 @@ Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
 // sets a pending guest exception on failure.
 Object* deepCopy(VM& vm, JThread* receiver, Object* src);
 
-// Serializes the graph rooted at `root` (read-only, no allocation).
+// Serializes the graph rooted at `root` (read-only, no allocation). The
+// bytes depend only on the graph, so equal graphs encode identically.
 std::string serializeGraph(VM& vm, Object* root);
 
 // Rebuilds the graph in the receiver's isolate; class names resolve through
-// the receiver's current loader. Returns nullptr (pending exception) on
-// malformed input or unresolvable classes.
+// the receiver's current loader. Returns nullptr with a pending
+// IllegalArgumentException or NoClassDefFoundError on malformed or
+// ill-typed input.
 Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes);
+
+// Prefixes a stream body with its header (magic, length, checksum). The
+// checksum guards against corruption, not against a hostile sender, which
+// can seal any body it likes; tests author such streams with this.
+std::string sealGraphStream(std::string_view body);
 
 }  // namespace ijvm

@@ -1,6 +1,7 @@
 #include "osgi/framework.h"
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 
 #include "bytecode/builder.h"
@@ -168,24 +169,39 @@ Object* Framework::makeContext(JThread* t, Bundle* bundle) {
 
 bool Framework::runOnFreshThread(const std::string& name,
                                  const std::function<void(JThread*)>& fn) {
-  auto done = std::make_shared<std::atomic<bool>>(false);
+  // Shared with the worker, which outlives this call when it times out.
+  struct Completion {
+    std::mutex m;
+    std::condition_variable cv;
+    bool done = false;
+  };
+  auto completion = std::make_shared<Completion>();
   JThread* t = vm_.attachThread(name, isolate0_);
-  std::thread worker([fn, t, done] {
+  std::thread worker([fn, t, completion] {
     fn(t);
     t->pending_exception = nullptr;
     t->dropAllFrames();
     t->state.store(ThreadState::Dead, std::memory_order_release);
-    done->store(true, std::memory_order_release);
     t->markDone();
+    {
+      std::lock_guard<std::mutex> lock(completion->m);
+      completion->done = true;
+    }
+    completion->cv.notify_all();
   });
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.activator_timeout_ms);
-  while (!done->load(std::memory_order_acquire) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const bool finished = done->load(std::memory_order_acquire);
+  bool finished;
   {
+    std::unique_lock<std::mutex> lock(completion->m);
+    finished = completion->cv.wait_until(lock, deadline,
+                                         [&] { return completion->done; });
+  }
+  if (finished) {
+    worker.join();
+  } else {
+    // A hung callback keeps its thread until ~Framework, which joins it
+    // after shutdownAllThreads cancels it.
     std::lock_guard<std::mutex> lock(mutex_);
     workers_.push_back(std::move(worker));
   }

@@ -1,6 +1,8 @@
 #include "stdlib/channels.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "obs/trace.h"
 
@@ -10,10 +12,20 @@ namespace {
 constexpr auto kSlice = std::chrono::microseconds(500);
 }
 
+void ByteQueue::append(const u8* data, size_t n) {
+  // Drop the consumed prefix once it is at least half the buffer, so the
+  // buffer stays proportional to the unread bytes (amortized O(1) a byte).
+  if (head_ > 0 && 2 * head_ >= bytes_.size()) {
+    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  bytes_.insert(bytes_.end(), data, data + n);
+}
+
 void ByteQueue::push(const u8* data, size_t n) {
   {
     std::lock_guard<std::mutex> lock(m_);
-    bytes_.insert(bytes_.end(), data, data + n);
+    append(data, n);
   }
   cv_.notify_all();
 }
@@ -22,21 +34,23 @@ void ByteQueue::pushv(const std::string* parts, size_t count) {
   {
     std::lock_guard<std::mutex> lock(m_);
     for (size_t i = 0; i < count; ++i) {
-      const u8* data = reinterpret_cast<const u8*>(parts[i].data());
-      bytes_.insert(bytes_.end(), data, data + parts[i].size());
+      append(reinterpret_cast<const u8*>(parts[i].data()), parts[i].size());
     }
   }
   cv_.notify_all();
 }
 
-size_t ByteQueue::pop(u8* out, size_t n, const std::atomic<bool>* cancel) {
+template <class Copy>
+size_t ByteQueue::popWith(size_t n, const std::atomic<bool>* cancel, Copy copy) {
   std::unique_lock<std::mutex> lock(m_);
   for (;;) {
-    if (!bytes_.empty()) {
-      size_t take = std::min(n, bytes_.size());
-      for (size_t i = 0; i < take; ++i) {
-        out[i] = bytes_.front();
-        bytes_.pop_front();
+    if (head_ < bytes_.size()) {
+      const size_t take = std::min(n, bytes_.size() - head_);
+      copy(bytes_.data() + head_, take);
+      head_ += take;
+      if (head_ == bytes_.size()) {
+        bytes_.clear();
+        head_ = 0;
       }
       return take;
     }
@@ -46,6 +60,16 @@ size_t ByteQueue::pop(u8* out, size_t n, const std::atomic<bool>* cancel) {
     }
     cv_.wait_for(lock, kSlice);
   }
+}
+
+size_t ByteQueue::pop(u8* out, size_t n, const std::atomic<bool>* cancel) {
+  return popWith(n, cancel, [out](const u8* p, size_t k) { std::memcpy(out, p, k); });
+}
+
+size_t ByteQueue::pop(std::string* out, size_t n, const std::atomic<bool>* cancel) {
+  return popWith(n, cancel, [out](const u8* p, size_t k) {
+    out->append(reinterpret_cast<const char*>(p), k);
+  });
 }
 
 void ByteQueue::close() {
@@ -58,7 +82,7 @@ void ByteQueue::close() {
 
 size_t ByteQueue::size() const {
   std::lock_guard<std::mutex> lock(m_);
-  return bytes_.size();
+  return bytes_.size() - head_;
 }
 
 std::pair<std::shared_ptr<ByteChannel>, std::shared_ptr<ByteChannel>>
@@ -116,13 +140,12 @@ size_t ByteChannel::read(u8* out, size_t n, const std::atomic<bool>* cancel) {
 bool ByteChannel::readFully(std::string* out, size_t n,
                             const std::atomic<bool>* cancel) {
   out->clear();
-  out->reserve(n);
-  std::vector<u8> buf(4096);
+  // Reserve what is already here, not `n`: a guest-chosen n must not size
+  // a host allocation by itself.
+  out->reserve(std::min(n, in_->size()));
   while (out->size() < n) {
-    size_t want = std::min(buf.size(), n - out->size());
-    size_t got = read(buf.data(), want, cancel);
+    const size_t got = in_->pop(out, n - out->size(), cancel);
     if (got == 0 || got == SIZE_MAX) return false;
-    out->append(reinterpret_cast<char*>(buf.data()), got);
   }
   return true;
 }

@@ -19,7 +19,8 @@
 
 namespace ijvm {
 
-// One direction of a duplex pipe.
+// One direction of a duplex pipe: a contiguous buffer with a read offset,
+// so a read of any size is one memcpy.
 class ByteQueue {
  public:
   void push(const u8* data, size_t n);
@@ -31,13 +32,22 @@ class ByteQueue {
   // Blocking read of up to n bytes; returns 0 on closed-and-empty, or
   // SIZE_MAX when cancelled. `cancel` may be null.
   size_t pop(u8* out, size_t n, const std::atomic<bool>* cancel);
+  // As pop, appending the bytes to *out.
+  size_t pop(std::string* out, size_t n, const std::atomic<bool>* cancel);
   void close();
   size_t size() const;
 
  private:
+  // Waits for bytes and hands `copy` (pointer, count) up to n of them under
+  // the lock; same returns as pop.
+  template <class Copy>
+  size_t popWith(size_t n, const std::atomic<bool>* cancel, Copy copy);
+  void append(const u8* data, size_t n);  // caller holds m_
+
   mutable std::mutex m_;
   std::condition_variable cv_;
-  std::deque<u8> bytes_;
+  std::vector<u8> bytes_;  // unread bytes are [head_, size())
+  size_t head_ = 0;
   bool closed_ = false;
 };
 

@@ -2,6 +2,8 @@
 // channels (the I/O + RMI transport) and object monitors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "heap/monitor.h"
@@ -64,6 +66,25 @@ TEST(ByteChannelTest, CloseEndsReads) {
   ASSERT_TRUE(b->readFully(&got, 2));  // buffered data still readable
   u8 buf[1];
   EXPECT_EQ(b->read(buf, 1), 0u);  // then EOF
+}
+
+TEST(ByteChannelTest, InterleavedWritesAndPartialReadsKeepOrder) {
+  // Reads that stop mid-frame and writes that land behind a half-consumed
+  // buffer must neither lose nor reorder bytes.
+  auto [a, b] = ByteChannel::pair();
+  std::string sent, got, part;
+  for (int i = 0; i < 200; ++i) {
+    const std::string frame(static_cast<size_t>(1 + i % 37), static_cast<char>('a' + i % 26));
+    a->write(frame);
+    sent += frame;
+    const size_t want = std::min<size_t>(b->pendingBytes(), static_cast<size_t>(1 + i % 23));
+    ASSERT_TRUE(b->readFully(&part, want));
+    got += part;
+  }
+  ASSERT_TRUE(b->readFully(&part, b->pendingBytes()));
+  got += part;
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(b->pendingBytes(), 0u);
 }
 
 TEST(ChannelHubTest, ConnectAcceptRendezvous) {

@@ -35,7 +35,9 @@ namespace {
 i64 graphChecksum(Object* root) {
   std::unordered_map<Object*, i64> ids;
   i64 h = 1469598103934665603LL;
-  auto mix = [&h](i64 v) { h = (h ^ v) * 1099511628211LL; };
+  auto mix = [&h](i64 v) {
+    h = static_cast<i64>((static_cast<u64>(h) ^ static_cast<u64>(v)) * 1099511628211ull);
+  };
   std::function<void(Object*)> go = [&](Object* o) {
     if (o == nullptr) {
       mix(-1);
